@@ -9,6 +9,13 @@ let rect_from bounds =
 let rect iters = rect_from (List.map (fun (x, n) -> (x, 0, n - 1)) iters)
 
 let stmt name ~iters ~write ~rhs =
+  List.iter
+    (fun (x, n) ->
+      if n <= 0 then
+        invalid_arg
+          (Printf.sprintf "Build.stmt %s: iterator %s has extent %d, so the domain is empty"
+             name x n))
+    iters;
   Stmt.make ~name ~iters:(List.map fst iters) ~domain:(rect iters) ~write ~rhs
 
 let access t iters = Access.of_iters t iters

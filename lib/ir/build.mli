@@ -15,7 +15,9 @@ val rect_from : (string * int * int) list -> Polyhedron.t
 val stmt :
   string -> iters:(string * int) list -> write:Access.t -> rhs:Expr.t -> Stmt.t
 (** Statement over the rectangular domain implied by [iters] (each iterator
-    ranges over [0 .. extent-1]). *)
+    ranges over [0 .. extent-1]).
+    @raise Invalid_argument when an extent is not positive: the domain
+    would be empty. *)
 
 val access : string -> string list -> Access.t
 (** [access "A" ["i"; "k"]] is [A[i][k]]. *)

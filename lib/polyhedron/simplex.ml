@@ -50,16 +50,35 @@ let degen_limit t = 16 + (2 * Array.length t.rows)
 let use_bland t =
   match t.rule with Bland -> true | Dantzig -> t.degen > degen_limit t
 
+(* [row -= f * src], touching only the columns where [src] is nonzero. *)
+let sub_scaled row f src =
+  Array.iteri
+    (fun j v -> if not (Q.is_zero v) then row.(j) <- Q.sub row.(j) (Q.mul f v))
+    src
+
 let pivot t r c =
   Obs.Counters.incr c_pivots;
   let before = t.obj.(t.ncols) in
   let prow = t.rows.(r) in
   let inv = Q.inv prow.(c) in
-  Array.iteri (fun j v -> prow.(j) <- Q.mul inv v) prow;
+  (* Scale the pivot row and collect its nonzero columns once: every
+     elimination below updates only those. *)
+  let nz = Array.make (Array.length prow) 0 and nnz = ref 0 in
+  Array.iteri
+    (fun j v ->
+      if not (Q.is_zero v) then begin
+        prow.(j) <- Q.mul inv v;
+        nz.(!nnz) <- j;
+        incr nnz
+      end)
+    prow;
   let eliminate row =
     let f = row.(c) in
     if not (Q.is_zero f) then
-      Array.iteri (fun j v -> row.(j) <- Q.sub v (Q.mul f prow.(j))) row
+      for k = 0 to !nnz - 1 do
+        let j = nz.(k) in
+        row.(j) <- Q.sub row.(j) (Q.mul f prow.(j))
+      done
   in
   Array.iteri (fun i row -> if i <> r then eliminate row) t.rows;
   eliminate t.obj;
@@ -130,8 +149,7 @@ let reduce_objective t =
   Array.iteri
     (fun r b ->
       let f = t.obj.(b) in
-      if not (Q.is_zero f) then
-        Array.iteri (fun j v -> t.obj.(j) <- Q.sub v (Q.mul f t.rows.(r).(j))) t.obj)
+      if not (Q.is_zero f) then sub_scaled t.obj f t.rows.(r))
     t.basis
 
 (* ------------------------------------------------------------------ *)
@@ -347,8 +365,7 @@ let with_le t e =
     (fun r b ->
       if r < nrows then begin
         let f = row.(b) in
-        if not (Q.is_zero f) then
-          Array.iteri (fun j v -> row.(j) <- Q.sub v (Q.mul f rows.(r).(j))) row
+        if not (Q.is_zero f) then sub_scaled row f rows.(r)
       end)
     basis;
   match dual_reoptimize t' with `Feasible -> Some t' | `Infeasible -> None

@@ -1,16 +1,26 @@
 (** Exact rational linear programming.
 
     Two-phase primal simplex over {!Polybase.Q}, so there is no rounding.
-    The entering rule is Dantzig's (most negative reduced cost) and falls
-    back to Bland's after a streak of degenerate pivots, which keeps the
-    anti-cycling guarantee without Bland's pivot counts on non-degenerate
-    problems.  Variables are free (internally split into positive and
-    negative parts); constraints are {!Constr.t} lists.
+    The one-shot entry points use Dantzig's entering rule (most negative
+    reduced cost) and fall back to Bland's after a streak of degenerate
+    pivots, which keeps the anti-cycling guarantee without Bland's pivot
+    counts on non-degenerate problems.  Variables are free (internally
+    split into positive and negative parts); constraints are {!Constr.t}
+    lists.
 
     Besides the one-shot entry points, {!Tableau} exposes the solver
     incrementally: build a feasible tableau once, then install successive
     objectives and push extra rows with dual-simplex re-optimization — the
-    warm-start primitive used by {!Ilp}. *)
+    warm-start primitive used by {!Ilp}.  The tableau stays on Bland's
+    rule throughout, because its vertices reach the scheduler.
+
+    Row operations are sparse: a pivot eliminates only the columns where
+    the scaled pivot row is nonzero, and reducing a row against the basis
+    only touches the columns where the basic row is nonzero.  This is
+    exact, not an approximation: {!Polybase.Q} values are canonical, so
+    [v - f * 0] is the same number as [v], and skipping that update leaves
+    every tableau entry unchanged.  Hence every pivot choice, vertex and
+    counter is the same as for dense elimination. *)
 
 open Polybase
 

@@ -130,29 +130,68 @@ let random_box_lp_gen =
       (pair coef coef)
       bound)
 
+(* An LP over [vars], each boxed in [0, ub], with rows [terms + c >= 0]. *)
+type box_lp = {
+  vars : string list;
+  ub : int;
+  rows : ((int * string) list * int) list;
+  obj : (int * string) list;
+}
+
+(* Sparse systems: three to five variables, at most two nonzero
+   coefficients per row, and rows drawn over a strict prefix of the
+   variables so the rest are zero columns outside their bounds.  The
+   tableau's skip-zero elimination meets mostly-zero rows here. *)
+let sparse_box_lp_gen =
+  QCheck2.Gen.(
+    let* n = int_range 3 5 in
+    let* used = int_range 1 (n - 1) in
+    let var i = Printf.sprintf "v%d" i in
+    let vars = List.init n var in
+    let term = pair (int_range (-4) 4) (map var (int_range 0 (used - 1))) in
+    let* rows =
+      list_size (int_range 1 6) (pair (list_size (int_range 1 2) term) (int_range (-3) 6))
+    in
+    let* obj = flatten_l (List.map (fun x -> map (fun c -> (c, x)) (int_range (-2) 2)) vars) in
+    let+ ub = int_range 0 3 in
+    { vars; ub; rows; obj })
+
+let simplex_lp_gen =
+  QCheck2.Gen.oneof
+    [ QCheck2.Gen.map
+        (fun (ineqs, (cx, cy), ub) ->
+          { vars = [ "x"; "y" ]; ub;
+            rows = List.map (fun (a, b, c) -> ([ (a, "x"); (b, "y") ], c)) ineqs;
+            obj = [ (cx, "x"); (cy, "y") ] })
+        random_box_lp_gen;
+      sparse_box_lp_gen
+    ]
+
 let prop_simplex_sound =
-  QCheck2.Test.make ~name:"simplex optimum is feasible and dominates grid" ~count:200
-    random_box_lp_gen
-    (fun (ineqs, (cx, cy), ub) ->
+  QCheck2.Test.make ~name:"simplex optimum is feasible and dominates grid" ~count:400
+    simplex_lp_gen
+    (fun lp ->
       let box =
-        [ Constr.lower_bound "x" 0; Constr.upper_bound "x" ub;
-          Constr.lower_bound "y" 0; Constr.upper_bound "y" ub ]
-      in
-      let cs =
-        box
-        @ List.map (fun (a, b, c) -> Constr.ge0 (le [ (a, "x"); (b, "y") ] c)) ineqs
-      in
-      let obj = le [ (cx, "x"); (cy, "y") ] 0 in
-      let feasible_grid =
         List.concat_map
-          (fun x ->
-            List.filter_map
-              (fun y ->
-                let env = function "x" -> q x | "y" -> q y | _ -> Q.zero in
-                if List.for_all (Constr.holds env) cs then Some (cx * x + (cy * y))
-                else None)
-              (List.init (ub + 1) Fun.id))
-          (List.init (ub + 1) Fun.id)
+          (fun x -> [ Constr.lower_bound x 0; Constr.upper_bound x lp.ub ])
+          lp.vars
+      in
+      let cs = box @ List.map (fun (terms, c) -> Constr.ge0 (le terms c)) lp.rows in
+      let obj = le lp.obj 0 in
+      let rec grid = function
+        | [] -> [ [] ]
+        | x :: rest ->
+          List.concat_map
+            (fun p -> List.init (lp.ub + 1) (fun v -> (x, v) :: p))
+            (grid rest)
+      in
+      let feasible_grid =
+        List.filter_map
+          (fun p ->
+            let env x = q (Option.value ~default:0 (List.assoc_opt x p)) in
+            if List.for_all (Constr.holds env) cs then Some (Linexpr.eval env obj)
+            else None)
+          (grid lp.vars)
       in
       match Simplex.minimize cs obj with
       | Simplex.Unbounded -> false (* impossible: box-bounded *)
@@ -161,7 +200,7 @@ let prop_simplex_sound =
         let env x = a x in
         List.for_all (Constr.holds env) cs
         && Q.equal v (Linexpr.eval env obj)
-        && List.for_all (fun g -> Q.compare v (q g) <= 0) feasible_grid)
+        && List.for_all (fun g -> Q.compare v g <= 0) feasible_grid)
 
 (* ------------------------------------------------------------------ *)
 (* Fourier-Motzkin / Polyhedron                                         *)

@@ -452,6 +452,45 @@ let test_legality_rejects_never_separated () =
   Alcotest.(check bool) "coincident dependent dates are illegal" false
     (Legality.is_legal bad k (Deps.Analysis.dependences k))
 
+(* ------------------------------------------------------------------ *)
+(* Pivot-path count gate                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The exact solver's pivot sequence is part of the scheduler's
+   behaviour: Bland's rule picks the vertex the schedule reports, so a
+   solver change that claims "same answers, cheaper" must also leave
+   every count below untouched.  Pinned over the small classic zoo,
+   scheduled plain (isl) and under the vectorizer's influence tree
+   (infl). *)
+let pivot_counters =
+  [ "simplex.solves"; "simplex.pivots"; "simplex.degenerate_pivots";
+    "simplex.dual_pivots"; "ilp.bb_nodes" ]
+
+let pivot_counts ~influence_of =
+  let (), deltas =
+    Obs.Counters.scoped (fun () ->
+        List.iter
+          (fun (_, mk) ->
+            let k = mk () in
+            ignore (Scheduler.schedule ?influence:(influence_of k) k))
+          Ops.Classics.all_small)
+  in
+  List.map
+    (fun name -> (name, Option.value ~default:0 (List.assoc_opt name deltas)))
+    pivot_counters
+
+let test_pivot_counts_pinned () =
+  let check what ~influence_of expected =
+    Alcotest.(check (list (pair string int)))
+      (what ^ " counts")
+      (List.combine pivot_counters expected)
+      (pivot_counts ~influence_of)
+  in
+  check "isl" ~influence_of:(fun _ -> None) [ 801; 8934; 6145; 0; 36 ];
+  check "infl"
+    ~influence_of:(fun k -> Some (Vectorizer.Treegen.influence_for k))
+    [ 3758; 33407; 22008; 6; 62 ]
+
 let () =
   Alcotest.run "scheduling"
     [ ( "farkas",
@@ -487,6 +526,10 @@ let () =
             test_legality_rejects_fused_beyond_validity;
           Alcotest.test_case "never strictly separated" `Quick
             test_legality_rejects_never_separated
+        ] );
+      ( "pivot-path",
+        [ Alcotest.test_case "classic zoo counts pinned" `Quick
+            test_pivot_counts_pinned
         ] );
       ( "influence-fuzz",
         List.map QCheck_alcotest.to_alcotest [ prop_random_influence_always_legal ] )

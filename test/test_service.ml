@@ -397,6 +397,25 @@ let test_serve_guards () =
   Alcotest.(check int) "every guard is a structured error" 5
     (counter "service.serve_errors")
 
+(* An inline kernel whose iterator has extent 0 has an empty domain.  It
+   must come back as a structured error naming the statement, and the
+   handler must keep answering the requests queued behind it. *)
+let test_serve_empty_domain () =
+  reset ();
+  let kernel_of_json j = Result.bind (Fuzz.Case.of_json j) Fuzz.Case.to_kernel in
+  let h =
+    Service.Serve.make_handler ~kernel_of_json:(Some kernel_of_json)
+      ~find_op:find_classic ()
+  in
+  let reply line = Service.Serve.handle_line h line in
+  let r_empty =
+    reply
+      {|{"kernel":{"name":"empty","tensors":[{"name":"A","dims":[4]},{"name":"B","dims":[4]}],"stmts":[{"name":"S","iters":[{"iter":"i","extent":0}],"write":{"tensor":"B","index":[{"coef":1,"iter":"i","offset":0}]},"rhs":{"load":{"tensor":"A","index":[{"coef":1,"iter":"i","offset":0}]}}}]}}|}
+  in
+  has {|"status":"error"|} r_empty;
+  has {|Build.stmt S|} r_empty;
+  has {|"status":"ok"|} (reply {|{"op":"fig2"}|})
+
 let test_serve_verbs_and_ids () =
   reset ();
   let cache = Service.Cache.open_ (fresh_dir ()) in
@@ -490,6 +509,7 @@ let () =
       ( "serve",
         [ Alcotest.test_case "scripted requests" `Quick test_serve_requests;
           Alcotest.test_case "input guards" `Quick test_serve_guards;
+          Alcotest.test_case "empty domain is an error" `Quick test_serve_empty_domain;
           Alcotest.test_case "verbs and ids" `Quick test_serve_verbs_and_ids;
           Alcotest.test_case "loop answers blank lines" `Quick
             test_serve_loop_blank_lines
