@@ -103,7 +103,10 @@ let rep_suite () =
 let infl_time ?weights ?max_branches kernel =
   let tree = Vectorizer.Treegen.influence_for ?weights ?max_branches kernel in
   let sched, stats = Scheduling.Scheduler.schedule ~influence:tree kernel in
-  let c = Codegen.Compile.lower ~vectorize:true ~vec_min_parallel:2048 sched kernel in
+  let c =
+    Codegen.Compile.lower ~vectorize:true
+      ~vec_min_parallel:Pipeline.default.vec_min_parallel sched kernel
+  in
   (Gpusim.Sim.time_us (Gpusim.Sim.run c), stats)
 
 let isl_time kernel =
@@ -166,20 +169,34 @@ let ablation_backtrack () =
   List.iter (fun (name, k) -> show name k) (rep_suite ())
 
 let ablation_tiling () =
-  section "Ablation - tile sizes (auto-tuner over permutable bands)";
-  Format.fprintf fmt "%-12s %10s %10s %10s %10s %10s@." "operator" "untiled"
-    "tile 8" "tile 16" "tile 32" "chosen";
+  section "Ablation - tile-size cap (tiling client over permutable bands)";
+  Format.fprintf fmt "%-12s %10s %10s %10s %10s   %s@." "operator" "isl" "cap 8"
+    "cap 16" "cap 32" "sizes chosen (cap 8 / 16 / 32)";
+  let time c = Gpusim.Sim.time_us (Gpusim.Sim.run c) in
+  (* the sizes the client injected, when the backend pass applied them *)
+  let sizes (c : Codegen.Compile.compiled) =
+    match
+      Scheduling.Schedule.annotation c.Codegen.Compile.schedule
+        Scheduling.Tiling.annotation_key
+    with
+    | Some s when Codegen.Tiling.applied c.Codegen.Compile.ast -> s
+    | _ -> "untiled"
+  in
   List.iter
     (fun (name, k) ->
-      let sched, _ = Scheduling.Scheduler.schedule k in
-      let sweep = Harness.Autotune.sweep ~vectorize:false sched k in
-      let best = Harness.Autotune.tune ~vectorize:false sched k in
-      Format.fprintf fmt "%-12s" name;
-      List.iter (fun (_, t) -> Format.fprintf fmt " %9.2fus" t) sweep;
-      Format.fprintf fmt " %10s@."
-        (match best.Harness.Autotune.tile with
-         | None -> "untiled"
-         | Some s -> string_of_int s))
+      let isl, _ = Pipeline.compile Pipeline.default Pipeline.Isl k in
+      let tiled =
+        List.map
+          (fun cap ->
+            fst
+              (Pipeline.compile
+                 { Pipeline.default with max_tile_size = Some cap }
+                 Pipeline.Tiled k))
+          [ 8; 16; 32 ]
+      in
+      Format.fprintf fmt "%-12s %8.2fus" name (time isl);
+      List.iter (fun c -> Format.fprintf fmt " %8.2fus" (time c)) tiled;
+      Format.fprintf fmt "   %s@." (String.concat " / " (List.map sizes tiled)))
     (rep_suite ())
 
 (* ------------------------------------------------------------------ *)

@@ -209,11 +209,7 @@ let with_op f name =
 (* shared pipeline helpers                                              *)
 (* ------------------------------------------------------------------ *)
 
-type version = Isl | Novec | Infl | Tiled | Cpu
-
-let version_conv =
-  Arg.enum
-    [ ("isl", Isl); ("novec", Novec); ("infl", Infl); ("tiled", Tiled); ("cpu", Cpu) ]
+let version_conv = Arg.enum (List.map (fun v -> (Pipeline.name v, v)) Pipeline.versions)
 
 let version_arg =
   let doc =
@@ -221,7 +217,7 @@ let version_arg =
      same influenced schedule as infl, lowered to cache-blocked C with SIMD \
      intrinsics instead of CUDA)."
   in
-  Arg.(value & opt version_conv Infl & info [ "version"; "v" ] ~doc)
+  Arg.(value & opt version_conv Pipeline.Infl & info [ "version"; "v" ] ~doc)
 
 let machine_conv =
   let parse s =
@@ -281,13 +277,9 @@ let strategy_arg =
         Scheduling.Scheduler.default_config.Scheduling.Scheduler.strategy
     & info [ "strategy" ] ~docv:"S" ~doc)
 
-let compile ?strategy ?(tile = false) ?tile_spec version k =
-  let version = if tile then Tiled else version in
-  let config =
-    match strategy with
-    | None -> Scheduling.Scheduler.default_config
-    | Some strategy -> { Scheduling.Scheduler.default_config with strategy }
-  in
+(* the pipeline configuration of one CLI invocation: [tile_spec] is the
+   --tile-sizes override, which applies to every version *)
+let config ?(strategy = Pipeline.default.strategy) ?tile_spec () =
   let tile_sizes =
     Option.map
       (fun spec ->
@@ -295,19 +287,9 @@ let compile ?strategy ?(tile = false) ?tile_spec version k =
         fun dim -> List.assoc_opt dim pairs)
       tile_spec
   in
-  let lower ~vectorize sched = Codegen.Compile.lower ~vectorize ?tile_sizes sched k in
-  match version with
-  | Isl ->
-    let sched, stats = Scheduling.Scheduler.schedule ~config k in
-    (sched, stats, lower ~vectorize:false sched)
-  | Novec | Infl | Cpu ->
-    let tree = Vectorizer.Treegen.influence_for k in
-    let sched, stats = Scheduling.Scheduler.schedule ~config ~influence:tree k in
-    (sched, stats, lower ~vectorize:(version = Infl || version = Cpu) sched)
-  | Tiled ->
-    let tree = Scheduling.Tiling.influence_for k in
-    let sched, stats = Scheduling.Scheduler.schedule ~config ~influence:tree k in
-    (sched, stats, lower ~vectorize:false sched)
+  { Pipeline.default with strategy; tile_sizes }
+
+let version_of ~tile version = if tile then Pipeline.Tiled else version
 
 (* ------------------------------------------------------------------ *)
 (* commands                                                             *)
@@ -350,17 +332,13 @@ let schedule_cmd =
     with_obs o @@ fun () ->
     with_op
       (fun k ->
-        let version = if tile then Tiled else version in
+        let version = version_of ~tile version and config = config ~strategy ?tile_spec () in
         (if tree then
-           match version with
-           | Isl -> ()
-           | Tiled ->
-             Format.printf "influence tree:@.%a@." Scheduling.Influence.pp
-               (Scheduling.Tiling.influence_for k)
-           | Novec | Infl | Cpu ->
-             Format.printf "influence tree:@.%a@." Scheduling.Influence.pp
-               (Vectorizer.Treegen.influence_for k));
-        let sched, stats, _ = compile ~strategy ?tile_spec version k in
+           Option.iter
+             (Format.printf "influence tree:@.%a@." Scheduling.Influence.pp)
+             (Pipeline.influence config version k));
+        let c, stats = Pipeline.compile config version k in
+        let sched = c.Codegen.Compile.schedule in
         Format.printf "%a@." Scheduling.Schedule.pp sched;
         Format.printf
           "stats: %d ILP solves, %d loop dims, %d scalar dims, %d sibling moves, %d backtracks, %d SCC separations, abandoned %b@."
@@ -386,9 +364,10 @@ let codegen_cmd =
     with_obs o @@ fun () ->
     with_op
       (fun k ->
-        let _, _, c = compile ~tile ?tile_spec version k in
+        let version = version_of ~tile version in
+        let c, _ = Pipeline.compile (config ?tile_spec ()) version k in
         match version with
-        | Cpu ->
+        | Pipeline.Cpu ->
           let m = cpu_profile_for machine None in
           print_string (Codegen_cpu.Cemit.emit ~machine:m c)
         | Isl | Novec | Infl | Tiled -> print_string (Codegen.Cuda.emit c))
@@ -409,7 +388,7 @@ let simulate_cmd =
     with_obs o @@ fun () ->
     with_op
       (fun k ->
-        let _, _, c = compile ~tile ?tile_spec version k in
+        let c, _ = Pipeline.compile (config ?tile_spec ()) (version_of ~tile version) k in
         Format.printf "%s@." (Format.asprintf "%a" Codegen.Mapping.pp c.Codegen.Compile.mapping);
         Format.printf "%a@." Gpusim.Sim.pp (Gpusim.Sim.run c))
       name
@@ -566,16 +545,16 @@ let check_cmd =
     with_op
       (fun k ->
         List.iter
-          (fun (label, version) ->
-            let _, _, c = compile version k in
+          (fun version ->
+            let c, _ = Pipeline.compile Pipeline.default version k in
             let m1 = Interp.randomize k in
             let m2 = Interp.copy m1 in
             Interp.run_original k m1;
             Interp.run_ast k c.Codegen.Compile.ast m2;
-            Format.printf "%-6s %s@." label
+            Format.printf "%-6s %s@." (Pipeline.name version)
               (if Interp.equal m1 m2 then "MATCH"
                else Printf.sprintf "MISMATCH (max diff %g)" (Interp.max_abs_diff m1 m2)))
-          [ ("isl", Isl); ("novec", Novec); ("infl", Infl); ("tiled", Tiled) ];
+          Pipeline.[ Isl; Novec; Infl; Tiled ];
         (* the cpu row is an *executed* differential when a host toolchain
            exists; otherwise it degrades to emit-only and says so *)
         let runner =
@@ -597,29 +576,6 @@ let check_cmd =
          "Interpret original vs compiled code and compare results bit-for-bit (the \
           cpu row executes the emitted C when a host toolchain is available)")
     Term.(const run $ op_arg $ obs_term)
-
-let tune_tiles_cmd =
-  let run name version o =
-    with_obs o @@ fun () ->
-    with_op
-      (fun k ->
-        let sched, _, _ = compile version k in
-        List.iter
-          (fun (tile, t) ->
-            Format.printf "tile %-8s %10.2f us@."
-              (match tile with None -> "none" | Some s -> string_of_int s)
-              t)
-          (Harness.Autotune.sweep ~vectorize:(version = Infl) sched k);
-        let best = Harness.Autotune.tune ~vectorize:(version = Infl) sched k in
-        Format.printf "chosen: %s (%.2f us)@."
-          (match best.Harness.Autotune.tile with
-           | None -> "untiled"
-           | Some s -> Printf.sprintf "tile %d" s)
-          best.Harness.Autotune.time_us)
-      name
-  in
-  Cmd.v (Cmd.info "tune-tiles" ~doc:"Auto-tune tile sizes on the GPU model")
-    Term.(const run $ op_arg $ version_arg $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* influence-space autotuning                                           *)
@@ -1162,5 +1118,5 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [ list_cmd; show_cmd; schedule_cmd; codegen_cmd; simulate_cmd; cpu_run_cmd;
-            eval_cmd; check_cmd; tune_cmd; tune_tiles_cmd; network_cmd; serve_cmd;
+            eval_cmd; check_cmd; tune_cmd; network_cmd; serve_cmd;
             fuzz_cmd; report_cmd; diff_cmd; metrics_cmd; perf_diff_cmd ]))

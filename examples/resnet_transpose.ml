@@ -12,7 +12,10 @@ let () =
   Format.printf "%a@." Ir.Kernel.pp kernel;
 
   let show label sched vectorize =
-    let c = Codegen.Compile.lower ~vectorize ~vec_min_parallel:2048 sched kernel in
+    let c =
+      Codegen.Compile.lower ~vectorize
+        ~vec_min_parallel:Pipeline.default.vec_min_parallel sched kernel
+    in
     let r = Gpusim.Sim.run c in
     Format.printf "@.--- %s ---@.%a@.%s" label Scheduling.Schedule.pp sched
       (Codegen.Cuda.emit c);

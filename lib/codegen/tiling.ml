@@ -42,6 +42,13 @@ let rec collect_chain (l : Ast.loop) =
 
 let tile_var d = Printf.sprintf "t%dT" d
 
+(* A tile loop stands 1000 below the schedule dimension it tiles, so it
+   never collides with a real dimension's lookup key; -500 separates the
+   two ranges. *)
+let tile_dim d = d - 1000
+
+let is_tile_loop (l : Ast.loop) = l.Ast.dim <= -500
+
 type fault = Off_by_one
 
 let c_applied =
@@ -111,7 +118,7 @@ let apply ?fault ~sizes sched kernel ast =
                     upper = c.Ast.upper;
                     step = s;
                     mark = c.Ast.mark;
-                    dim = c.Ast.dim - 1000;
+                    dim = tile_dim c.Ast.dim;
                     trip_hint = None;
                     body = acc
                   }
@@ -131,5 +138,5 @@ let tile_all ~size sched kernel ast =
 let rec applied = function
   | Ast.Stmts l -> List.exists applied l
   | Ast.If (_, b) -> applied b
-  | Ast.For l -> l.Ast.dim <= -500 || applied l.Ast.body
+  | Ast.For l -> is_tile_loop l || applied l.Ast.body
   | Ast.Exec _ | Ast.VecExec _ -> false

@@ -38,6 +38,11 @@ val apply :
 val tile_all : size:int -> Scheduling.Schedule.t -> Ir.Kernel.t -> Ast.t -> Ast.t
 (** [apply] with the same size for every dimension. *)
 
+val is_tile_loop : Ast.loop -> bool
+(** Whether a loop is a tile loop this pass synthesized.  Tile loops carry
+    a negative dimension (1000 below the dimension they tile) and step by
+    the tile size; this predicate is the one place that encoding is read. *)
+
 val applied : Ast.t -> bool
 (** Whether the AST contains tile loops (the negative-dimension loops this
     pass synthesizes) — how callers report a schedule as actually tiled. *)

@@ -18,11 +18,9 @@
     a compile+execute differential comparing the executed C's output
     buffers bit-for-bit against {!Interp.run_original}. *)
 
-type version = Isl | Novec | Infl | Tiled | Cpu
-
-val versions : version list
-val version_name : version -> string
-val version_of_name : string -> version option
+type version = Pipeline.version = Isl | Novec | Infl | Tiled | Cpu
+(** Re-exported so failures and perturbation hooks name versions
+    directly; {!Pipeline.name} renders them. *)
 
 type stage = Convert | Schedule | Legality | Lower | Structure | Emit | Semantics
 

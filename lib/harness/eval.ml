@@ -42,28 +42,27 @@ let rows_equal (a : Scheduling.Schedule.t) (b : Scheduling.Schedule.t) =
               ra.exprs rb.exprs)
        a.Scheduling.Schedule.rows b.Scheduling.Schedule.rows
 
-(* step > 1 signals a vectorized loop, except on tile loops (dim <= -500),
-   which step by the tile size *)
-let rec has_vector_loop = function
-  | Codegen.Ast.Stmts l -> List.exists has_vector_loop l
-  | Codegen.Ast.If (_, b) -> has_vector_loop b
-  | Codegen.Ast.Exec _ -> false
-  | Codegen.Ast.VecExec _ -> true
-  | Codegen.Ast.For l ->
-    (l.Codegen.Ast.step > 1 && l.Codegen.Ast.dim > -500)
-    || has_vector_loop l.Codegen.Ast.body
+type tuning = {
+  weights : Vectorizer.Costmodel.weights;
+  order : int list option;
+}
+
+let config ?tuning ?strategy () =
+  let c =
+    { Pipeline.default with
+      strategy = Option.value strategy ~default:Pipeline.default.strategy
+    }
+  in
+  match tuning with
+  | None -> c
+  | Some t -> { c with weights = t.weights; order = t.order }
 
 (* Runs the scheduler while measuring wall time and the branch-and-bound
    node delta it caused, turning its per-run stats into a [sched_obs]. *)
 let timed_schedule ?influence ?strategy kernel =
-  let config =
-    match strategy with
-    | None -> Scheduling.Scheduler.default_config
-    | Some strategy -> { Scheduling.Scheduler.default_config with strategy }
-  in
   let bb0 = Obs.Counters.find "ilp.bb_nodes" in
   let (sched, stats), sched_s =
-    Obs.Span.timed (fun () -> Scheduling.Scheduler.schedule ~config ?influence kernel)
+    Obs.Span.timed (fun () -> Pipeline.schedule (config ?strategy ()) influence kernel)
   in
   let obs =
     { ilp_solves = stats.Scheduling.Scheduler.ilp_solves;
@@ -79,33 +78,25 @@ let timed_schedule ?influence ?strategy kernel =
   in
   (sched, stats, obs)
 
-type tuning = {
-  weights : Vectorizer.Costmodel.weights;
-  order : int list option;
-}
-
 let influence_with ?tuning kernel =
-  match tuning with
-  | None -> Vectorizer.Treegen.influence_for kernel
-  | Some t ->
-    let tree = Vectorizer.Treegen.influence_for ~weights:t.weights kernel in
-    (match t.order with
-     | None -> tree
-     | Some order -> Scheduling.Influence.select order tree)
+  Option.get (Pipeline.influence (config ?tuning ()) Pipeline.Infl kernel)
 
 let evaluate_op ?(machine = Gpusim.Machine.v100) ?tuning ?strategy ~name kernel =
   Obs.Span.with_ "harness.op" @@ fun () ->
   Obs.Trace.emitf "harness.op_start" (fun () -> [ ("op", Obs.Json.String name) ]);
+  let tuned = config ?tuning ?strategy () and untuned = config ?strategy () in
   let isl_sched, _, isl_obs = timed_schedule ?strategy kernel in
-  let tree, tree_s = Obs.Span.timed (fun () -> influence_with ?tuning kernel) in
-  let infl_sched, infl_stats, infl_obs = timed_schedule ~influence:tree ?strategy kernel in
+  let tree, tree_s =
+    Obs.Span.timed (fun () -> Pipeline.influence tuned Pipeline.Infl kernel)
+  in
+  let infl_sched, infl_stats, infl_obs = timed_schedule ?influence:tree ?strategy kernel in
   (* The tiled version goes through the same influence path with the
      tiling client's tree instead of the vectorizer's. *)
   let tile_tree, tile_tree_s =
-    Obs.Span.timed (fun () -> Scheduling.Tiling.influence_for kernel)
+    Obs.Span.timed (fun () -> Pipeline.influence untuned Pipeline.Tiled kernel)
   in
   let tiled_sched_r, tiled_stats, tiled_obs =
-    timed_schedule ~influence:tile_tree ?strategy kernel
+    timed_schedule ?influence:tile_tree ?strategy kernel
   in
   let tree_s = tree_s +. tile_tree_s in
   let lower_s = ref 0.0 and sim_s = ref 0.0 in
@@ -127,15 +118,13 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ?tuning ?strategy ~name kernel 
         ]);
     us
   in
-  let isl_c = lower (fun () -> Codegen.Compile.lower ~vectorize:false isl_sched kernel) in
-  let novec_c = lower (fun () -> Codegen.Compile.lower ~vectorize:false infl_sched kernel) in
-  let infl_c =
-    lower (fun () ->
-        Codegen.Compile.lower ~vectorize:true ~vec_min_parallel:2048 infl_sched kernel)
+  let lower_as version sched =
+    lower (fun () -> Pipeline.lower untuned version sched kernel)
   in
-  let tiled_c =
-    lower (fun () -> Codegen.Compile.lower ~vectorize:false tiled_sched_r kernel)
-  in
+  let isl_c = lower_as Pipeline.Isl isl_sched in
+  let novec_c = lower_as Pipeline.Novec infl_sched in
+  let infl_c = lower_as Pipeline.Infl infl_sched in
+  let tiled_c = lower_as Pipeline.Tiled tiled_sched_r in
   let tiled =
     (not tiled_stats.Scheduling.Scheduler.influence_abandoned)
     && Codegen.Tiling.applied tiled_c.Codegen.Compile.ast
@@ -147,7 +136,7 @@ let evaluate_op ?(machine = Gpusim.Machine.v100) ?tuning ?strategy ~name kernel 
          0.0
          (lower (fun () -> Baselines.Tvm.compile kernel)))
   in
-  let vec = has_vector_loop infl_c.Codegen.Compile.ast in
+  let vec = Pipeline.vectorized infl_c.Codegen.Compile.ast in
   let influenced =
     (not infl_stats.Scheduling.Scheduler.influence_abandoned)
     && ((not (rows_equal isl_sched infl_sched)) || vec)
@@ -364,11 +353,7 @@ let evaluate_cpu_op ?(machine = Gpusim.Machine.scalar_1core) ?runner ?strategy
     ?(reps = 3) ?(check = true) ?(seed = 42) ~name kernel =
   Obs.Span.with_ "harness.cpu_op" @@ fun () ->
   let kernel = Ir.Kernel.instantiate kernel in
-  let tree = Vectorizer.Treegen.influence_for kernel in
-  let sched, _, _ = timed_schedule ~influence:tree ?strategy kernel in
-  let compiled =
-    Codegen.Compile.lower ~vectorize:true ~vec_min_parallel:2048 sched kernel
-  in
+  let compiled, _ = Pipeline.compile (config ?strategy ()) Pipeline.Cpu kernel in
   let source, emit_s =
     Obs.Span.timed (fun () -> Codegen_cpu.Cemit.emit ~machine compiled)
   in
@@ -378,7 +363,7 @@ let evaluate_cpu_op ?(machine = Gpusim.Machine.scalar_1core) ?runner ?strategy
       cpu_isa = Gpusim.Machine.isa_name machine.Gpusim.Machine.isa;
       source_bytes = String.length source;
       emit_s;
-      cpu_vec = has_vector_loop compiled.Codegen.Compile.ast;
+      cpu_vec = Pipeline.vectorized compiled.Codegen.Compile.ast;
       compiled = false;
       compile_cache_hit = false;
       compile_s = 0.0;

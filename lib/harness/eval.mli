@@ -1,4 +1,4 @@
-(** Four-version evaluation of fused operators (the measurement harness
+(** Five-version evaluation of fused operators (the measurement harness
     behind Table II).
 
     For each operator, compiles and simulates:

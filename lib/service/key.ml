@@ -1,7 +1,8 @@
-(* Bump whenever the cached payload format or the digest preimage changes:
+(* Bump whenever the cached payload format, the digest preimage or the
+   compilation behind a cached result changes:
    a bump changes every digest, so stale entries simply miss (and age out
    of the size cap) instead of being misread. *)
-let format_version = 2
+let format_version = 3
 
 type t = { digest : string; format : int; label : string }
 

@@ -54,42 +54,9 @@ let make_handler ?(kernel_of_json = None) ?cache
   { find_op; kernel_of_json; cache; default_machine; max_request_bytes; started;
     next_id = Atomic.make 0 }
 
-type version = Isl | Novec | Infl | Tiled | Cpu
-
-let version_name = function
-  | Isl -> "isl"
-  | Novec -> "novec"
-  | Infl -> "infl"
-  | Tiled -> "tiled"
-  | Cpu -> "cpu"
-
-let version_of_name = function
-  | "isl" -> Some Isl
-  | "novec" -> Some Novec
-  | "infl" -> Some Infl
-  | "tiled" -> Some Tiled
-  | "cpu" -> Some Cpu
-  | _ -> None
-
-let compile ~strategy version kernel =
-  let config = { Scheduling.Scheduler.default_config with strategy } in
-  match version with
-  | Isl ->
-    let sched, stats = Scheduling.Scheduler.schedule ~config kernel in
-    (sched, stats, Codegen.Compile.lower ~vectorize:false sched kernel)
-  | Novec | Infl | Cpu ->
-    let tree = Vectorizer.Treegen.influence_for kernel in
-    let sched, stats = Scheduling.Scheduler.schedule ~config ~influence:tree kernel in
-    ( sched,
-      stats,
-      Codegen.Compile.lower ~vectorize:(version = Infl || version = Cpu) sched kernel )
-  | Tiled ->
-    let tree = Scheduling.Tiling.influence_for kernel in
-    let sched, stats = Scheduling.Scheduler.schedule ~config ~influence:tree kernel in
-    (sched, stats, Codegen.Compile.lower ~vectorize:false sched kernel)
-
 let compile_report ~machine ~strategy ~version ~op kernel =
-  let sched, stats, compiled = compile ~strategy version kernel in
+  let compiled, stats = Pipeline.compile { Pipeline.default with strategy } version kernel in
+  let sched = compiled.Codegen.Compile.schedule in
   let legal =
     match Scheduling.Legality.check sched kernel (Deps.Analysis.dependences kernel) with
     | Ok () -> true
@@ -97,7 +64,7 @@ let compile_report ~machine ~strategy ~version ~op kernel =
   in
   let base =
     [ ("op", J.String op);
-      ("version", J.String (version_name version));
+      ("version", J.String (Pipeline.name version));
       ("machine", J.String machine.Gpusim.Machine.name);
       ("rows", J.Int (List.length sched.Scheduling.Schedule.rows));
       ("loop_dims", J.Int stats.Scheduling.Scheduler.loop_dims);
@@ -110,7 +77,7 @@ let compile_report ~machine ~strategy ~version ~op kernel =
     ]
   in
   match version with
-  | Cpu ->
+  | Pipeline.Cpu ->
     (* serve stays emit-only (and so deterministic and toolchain-free):
        no host compile, no measured timing — a GPU machine in the request
        falls back to the portable scalar profile *)
@@ -206,9 +173,9 @@ let metrics_reply ~id =
 let handle_compile h ~id req =
   let version =
     match J.member "version" req with
-    | None -> Ok Infl
+    | None -> Ok Pipeline.Infl
     | Some (J.String s) -> (
-      match version_of_name s with
+      match Pipeline.of_name s with
       | Some v -> Ok v
       | None -> Error (Printf.sprintf "unknown version %S (isl|novec|infl|tiled|cpu)" s))
     | Some _ -> Error "version must be a string"
@@ -260,7 +227,7 @@ let handle_compile h ~id req =
     let reply, spans =
       Obs.Span.scoped (fun () ->
           let key =
-            Key.make ~kernel ~machine ~version:(version_name version)
+            Key.make ~kernel ~machine ~version:(Pipeline.name version)
               ~flags:
                 [ ("entry", "serve"); ("op", op);
                   ("strategy", Scheduling.Scheduler.strategy_name strategy)

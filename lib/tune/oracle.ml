@@ -84,17 +84,6 @@ let find cache k =
       Some m
     | None -> None)
 
-(* step > 1 signals a vectorized loop, except on tile loops (dim <= -500),
-   which step by the tile size *)
-let rec has_vector_loop = function
-  | Codegen.Ast.Stmts l -> List.exists has_vector_loop l
-  | Codegen.Ast.If (_, b) -> has_vector_loop b
-  | Codegen.Ast.Exec _ -> false
-  | Codegen.Ast.VecExec _ -> true
-  | Codegen.Ast.For l ->
-    (l.Codegen.Ast.step > 1 && l.Codegen.Ast.dim > -500)
-    || has_vector_loop l.Codegen.Ast.body
-
 let compute ?(strategy = Scheduling.Scheduler.default_config.strategy) ?(tile = false)
     ?cpu_runner ~machine kernel (c : Candidate.t) =
   Obs.Span.with_ "tune.eval" @@ fun () ->
@@ -103,19 +92,15 @@ let compute ?(strategy = Scheduling.Scheduler.default_config.strategy) ?(tile = 
     (* In tile mode the tree comes from the tiling client, so the
        candidate's vectorizer weights are inert; its [order] still
        selects among the tile-shape branches. *)
-    let tree =
-      if tile then Scheduling.Tiling.influence_for kernel
-      else Vectorizer.Treegen.influence_for ~weights:c.Candidate.weights kernel
+    let config =
+      { Pipeline.default with
+        strategy;
+        weights = c.Candidate.weights;
+        order = c.Candidate.order
+      }
     in
-    let tree =
-      match c.Candidate.order with
-      | None -> tree
-      | Some order -> Scheduling.Influence.select order tree
-    in
-    let config = { Scheduling.Scheduler.default_config with strategy } in
-    let sched, stats = Scheduling.Scheduler.schedule ~config ~influence:tree kernel in
-    let compiled =
-      Codegen.Compile.lower ~vectorize:(not tile) ~vec_min_parallel:2048 sched kernel
+    let compiled, stats =
+      Pipeline.compile config (if tile then Pipeline.Tiled else Pipeline.Infl) kernel
     in
     let time_us, cycles =
       match cpu_runner with
@@ -149,7 +134,7 @@ let compute ?(strategy = Scheduling.Scheduler.default_config.strategy) ?(tile = 
     in
     { time_us;
       cycles;
-      vec = has_vector_loop compiled.Codegen.Compile.ast;
+      vec = Pipeline.vectorized compiled.Codegen.Compile.ast;
       tiled = Codegen.Tiling.applied compiled.Codegen.Compile.ast;
       influenced = not stats.Scheduling.Scheduler.influence_abandoned
     }

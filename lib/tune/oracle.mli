@@ -1,8 +1,9 @@
 (** The tuning oracle: scores one (operator, candidate) pair.
 
-    [compute] mirrors the harness's [infl] version exactly — influence
-    tree from the candidate's weights, root-branch selection, scheduler,
-    vectorizing lowering, {!Gpusim.Sim} — so a time the search observes
+    [compute] builds the harness's [infl] version through the same
+    {!Pipeline.compile} — influence tree from the candidate's weights,
+    root-branch selection, scheduler, vectorizing lowering — then runs
+    {!Gpusim.Sim}, so a time the search observes
     here is the time [eval --tuned] will reproduce later.  That mirror
     is what makes the search's "tuned never worse than baseline"
     guarantee transfer from tuning to evaluation.

@@ -20,7 +20,8 @@ let tiled_sched k =
   fst (Scheduling.Scheduler.schedule ~influence:(Scheduling.Tiling.influence_for k) k)
 
 let compile_infl k =
-  Codegen.Compile.lower ~vectorize:true ~vec_min_parallel:2048 (influenced k) k
+  Codegen.Compile.lower ~vectorize:true
+    ~vec_min_parallel:Pipeline.default.vec_min_parallel (influenced k) k
 
 let compile_tiled k = Codegen.Compile.lower ~vectorize:false (tiled_sched k) k
 
@@ -145,7 +146,7 @@ let test_tile_annotation_roundtrip () =
     | Codegen.Ast.If (_, b) -> tile_steps b
     | Codegen.Ast.Exec _ | Codegen.Ast.VecExec _ -> []
     | Codegen.Ast.For l ->
-      (if l.Codegen.Ast.dim <= -500 then [ l.Codegen.Ast.step ] else [])
+      (if Codegen.Tiling.is_tile_loop l then [ l.Codegen.Ast.step ] else [])
       @ tile_steps l.Codegen.Ast.body
   in
   let steps = tile_steps c.Codegen.Compile.ast in

@@ -155,7 +155,7 @@ let test_broken_tiler_caught () =
       Alcotest.(check string)
         (Printf.sprintf "case %d fails in the tiled version" fr.index)
         "tiled"
-        (Check.version_name fr.failure.Check.version);
+        (Pipeline.name fr.failure.Check.version);
       Alcotest.(check bool)
         (Printf.sprintf "case %d shrunk to <= 3 statements" fr.index)
         true

@@ -484,6 +484,60 @@ let test_serve_loop_blank_lines () =
   Sys.remove in_file;
   Sys.remove out_file
 
+(* Every surface builds a version through Pipeline, so one op and version
+   must get one answer: serve's uncached reply equals the harness column,
+   and the tune oracle's baseline candidate agrees on infl and tiled.  The
+   cpu version is emit-only in serve; its source must be the one the
+   pipeline and evaluate_cpu_op produce. *)
+let test_surface_parity () =
+  reset ();
+  let h = Service.Serve.make_handler ~find_op:find_classic () in
+  let reply_field name version field =
+    let line = Printf.sprintf {|{"op":%S,"version":%S}|} name version in
+    let reply = Service.Serve.handle_line h line in
+    match Obs.Json.of_string reply with
+    | Ok j -> (
+      match Obs.Json.member field j with
+      | Some v -> v
+      | None -> Alcotest.failf "%s %s: no %s in %s" name version field reply)
+    | Error e -> Alcotest.failf "%s %s: bad reply %s" name version e
+  in
+  let serve_us name version =
+    match reply_field name version "time_us" with
+    | Obs.Json.Float f -> f
+    | Obs.Json.Int i -> float_of_int i
+    | _ -> Alcotest.failf "%s %s: time_us is not a number" name version
+  in
+  let oracle_us ?tile k =
+    match
+      Tune.Oracle.compute ?tile ~machine:Gpusim.Machine.v100 k Tune.Candidate.baseline
+    with
+    | Some m -> m.Tune.Oracle.time_us
+    | None -> Alcotest.fail "oracle failed"
+  in
+  List.iter
+    (fun (name, mk) ->
+      let k = mk () in
+      let r = Harness.Eval.evaluate_op ~name k in
+      let same what expected got =
+        Alcotest.(check (float 0.0)) (Printf.sprintf "%s %s" name what) expected got
+      in
+      same "isl serve" r.Harness.Eval.isl_us (serve_us name "isl");
+      same "novec serve" r.novec_us (serve_us name "novec");
+      same "infl serve" r.infl_us (serve_us name "infl");
+      same "tiled serve" r.tiled_us (serve_us name "tiled");
+      same "infl oracle" r.infl_us (oracle_us k);
+      same "tiled oracle" r.tiled_us (oracle_us ~tile:true k);
+      let compiled, _ = Pipeline.compile Pipeline.default Pipeline.Cpu k in
+      let source = Codegen_cpu.Cemit.emit ~machine:Gpusim.Machine.scalar_1core compiled in
+      Alcotest.(check bool)
+        (name ^ " cpu serve source") true
+        (reply_field name "cpu" "source" = Obs.Json.String source);
+      let run, _ = Harness.Eval.evaluate_cpu_op ~name k in
+      Alcotest.(check int)
+        (name ^ " cpu source bytes") (String.length source) run.Harness.Eval.source_bytes)
+    Ops.Classics.all
+
 let () =
   Alcotest.run "service"
     [ ("key", [ Alcotest.test_case "stability" `Quick test_key_stability ]);
@@ -510,6 +564,7 @@ let () =
         [ Alcotest.test_case "scripted requests" `Quick test_serve_requests;
           Alcotest.test_case "input guards" `Quick test_serve_guards;
           Alcotest.test_case "empty domain is an error" `Quick test_serve_empty_domain;
+          Alcotest.test_case "surface parity" `Quick test_surface_parity;
           Alcotest.test_case "verbs and ids" `Quick test_serve_verbs_and_ids;
           Alcotest.test_case "loop answers blank lines" `Quick
             test_serve_loop_blank_lines
